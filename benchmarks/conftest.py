@@ -17,10 +17,12 @@ Environment knobs:
 Every bench prints the regenerated table (run with ``-s`` to see it inline)
 and asserts the paper's *shape*: who wins and by roughly what factor.
 
-Each bench's wall time, engine worker count and cache hit/miss delta are
-recorded and written to ``BENCH_engine.json`` in the repo root at session
-end, so cold-vs-warm cache runs can be compared (see the CI smoke job and
-``benchmarks/engine_smoke.py``).
+Each bench's wall time, engine worker count, kernel subset, sample count
+and cache hit/miss delta are recorded and merged into ``BENCH_engine.json``
+in the repo root at session end, one row per bench name: a run replaces the
+rows of the benches it ran and keeps all others, so the file accumulates a
+trajectory across runs of different subsets (see the CI smoke job and
+``benchmarks/engine_smoke.py`` for cold-vs-warm comparisons).
 """
 
 from __future__ import annotations
@@ -73,6 +75,8 @@ def _engine_timing(request):
         "bench": request.node.name,
         "wall_s": round(wall, 3),
         "jobs": default_jobs(),
+        "keys": bench_keys(),
+        "samples": bench_samples(),
         "cache": delta.as_dict(),
     }
     # benches may attach structured results (e.g. the core-comparison
@@ -93,20 +97,38 @@ def record_result(request):
     return _record
 
 
+def merge_report(existing: dict | None, records: list[dict]) -> dict:
+    """Fold this session's bench rows into the existing report.
+
+    Rows merge by bench name: a bench that ran replaces its old row, every
+    other row is kept, so a subset run never erases the trajectory the
+    other benches recorded.  The totals cover the merged rows.
+    """
+    rows = {row["bench"]: row for row in (existing or {}).get("benches", [])}
+    rows.update((row["bench"], row) for row in records)
+    benches = [rows[name] for name in sorted(rows)]
+    lookups = sum(r["cache"]["hits"] + r["cache"]["misses"] for r in benches)
+    hits = sum(r["cache"]["hits"] for r in benches)
+    return {
+        "total_wall_s": round(sum(r["wall_s"] for r in benches), 3),
+        "cache_hit_rate": round(hits / lookups, 4) if lookups else 0.0,
+        "benches": benches,
+    }
+
+
+def write_report(path: Path, records: list[dict]) -> None:
+    """Merge *records* into the report at *path* (created if missing)."""
+    try:
+        existing = json.loads(path.read_text())
+    except (OSError, ValueError):
+        existing = None
+    path.write_text(json.dumps(merge_report(existing, records), indent=2) + "\n")
+
+
 def pytest_sessionfinish(session, exitstatus):
     if not _records:
         return
-    lookups = sum(r["cache"]["hits"] + r["cache"]["misses"] for r in _records)
-    hits = sum(r["cache"]["hits"] for r in _records)
-    report = {
-        "keys": bench_keys(),
-        "samples": bench_samples(),
-        "jobs": _records[0]["jobs"],
-        "total_wall_s": round(sum(r["wall_s"] for r in _records), 3),
-        "cache_hit_rate": round(hits / lookups, 4) if lookups else 0.0,
-        "benches": _records,
-    }
     try:
-        BENCH_REPORT.write_text(json.dumps(report, indent=2) + "\n")
+        write_report(BENCH_REPORT, _records)
     except OSError:
         pass

@@ -10,6 +10,9 @@ mechanism (and its :class:`CtxBackConfig`, where applicable), iteration
 count and a schema version.  Two presets that differ in *any* field — e.g.
 ``radeon_vii`` vs ``radeon_vii_contended``, which share a warp size — can
 therefore never alias (the bug the old per-process dict keys had).
+Prepared kernels are the one narrower key: compiling reads only the
+register-file spec, so they key on that instead of the full config (see
+:func:`repro.analysis.engine.prepared_parts`).
 
 Layout (default root ``~/.cache/repro``, override ``REPRO_CACHE_DIR``)::
 

@@ -37,12 +37,15 @@ Artifact accessors (:func:`prepared_for`, :func:`weights_for`,
 replace the per-process dict caches ``experiments.py`` used to keep: they
 key on the *full* content of kernel + configs, so presets sharing a warp
 size (``radeon_vii`` vs ``radeon_vii_contended``) can no longer alias.
+Prepared kernels key on exactly what compiling reads — the register-file
+spec, not the whole config — so those two presets share one compile.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import enum
+import functools
 import hashlib
 import json
 import os
@@ -58,6 +61,7 @@ from ..ctxback.flashback import CtxBackConfig
 from ..kernels.suite import SUITE
 from ..mechanisms import make_mechanism
 from ..mechanisms.base import PreparedKernel
+from ..mechanisms.combined import Combined
 from ..mechanisms.ctxback import CtxBack
 from ..sim.config import GPUConfig
 from ..sim.gpu import run_preemption_experiment, run_reference
@@ -176,11 +180,21 @@ def _launch(key: str, config: GPUConfig, iterations: int | None):
     )
 
 
+@functools.lru_cache(maxsize=None)
+def _kernel_description(key: str, warp_size: int) -> dict:
+    """:func:`describe_kernel` of one benchmark kernel, memoized in-process.
+
+    A benchmark builds its kernel from the warp size alone (iterations
+    only change the launch arguments), so cache keys need not rebuild it.
+    Shared between callers: treat the returned dict as read-only.
+    """
+    return describe_kernel(SUITE[key].build(warp_size))
+
+
 def _base_parts(key: str, config: GPUConfig, iterations: int | None) -> dict:
-    launch = _launch(key, config, iterations)
     return {
         "bench": key,
-        "kernel": describe_kernel(launch.kernel),
+        "kernel": _kernel_description(key, config.warp_size),
         "config": canonical(config),
         "iterations": _resolved_iterations(key, iterations),
     }
@@ -191,6 +205,31 @@ def _mechanism_parts(mechanism: str, ctx_config: CtxBackConfig | None) -> dict:
         "mechanism": mechanism,
         "pass_config": canonical(ctx_config or CtxBackConfig()),
     }
+
+
+def _compile_config(config: GPUConfig) -> GPUConfig:
+    """The part of *config* a mechanism's compiler side reads: the
+    register-file spec.  Timing, core and tracing fields are reset to
+    their defaults, so presets that differ only there share artifacts."""
+    return GPUConfig(rf_spec=config.rf_spec)
+
+
+def prepared_parts(
+    key: str,
+    mechanism: str,
+    config: GPUConfig,
+    ctx_config: CtxBackConfig | None = None,
+) -> dict:
+    """Cache-key parts of a prepared kernel: (kernel description, register
+    file spec, mechanism, pass config) — everything compiling reads."""
+    compile_config = _compile_config(config)
+    parts = {
+        "bench": key,
+        "kernel": _kernel_description(key, compile_config.warp_size),
+        "config": canonical(compile_config),
+    }
+    parts.update(_mechanism_parts(mechanism, ctx_config))
+    return parts
 
 
 def prepared_for(
@@ -204,18 +243,25 @@ def prepared_for(
 
     With *ctx_config* given, the CTXBack pass runs under that variant
     configuration (the ablation study) instead of the mechanism registry's
-    defaults.
+    defaults.  The artifact is keyed and built on :func:`prepared_parts`
+    alone: *iterations* and every non-``rf_spec`` field of *config* shape
+    the run, never the compiled kernel.  ``combined`` is composed from the
+    cached ``ctxback`` artifact rather than rerunning the CTXBack pass.
     """
-    parts = _base_parts(key, config, iterations)
-    parts.update(_mechanism_parts(mechanism, ctx_config))
+    compile_config = _compile_config(config)
 
     def build() -> PreparedKernel:
-        launch = _launch(key, config, iterations)
+        kernel = SUITE[key].build(compile_config.warp_size)
         if ctx_config is not None:
-            return CtxBack(ctx_config).prepare(launch.kernel, config)
-        return make_mechanism(mechanism).prepare(launch.kernel, config)
+            return CtxBack(ctx_config).prepare(kernel, compile_config)
+        if mechanism == "combined":
+            ctx = prepared_for(key, "ctxback", compile_config)
+            return Combined().prepare(kernel, compile_config, ctx=ctx)
+        return make_mechanism(mechanism).prepare(kernel, compile_config)
 
-    return get_cache().get_or_create("prepared", parts, build)
+    return get_cache().get_or_create(
+        "prepared", prepared_parts(key, mechanism, config, ctx_config), build
+    )
 
 
 def weights_for(

@@ -87,11 +87,6 @@ def build_block_state(
     return BlockState(block, region, states)
 
 
-# backwards-compatible aliases (pre-public names)
-_BlockState = BlockState
-_build_block_state = build_block_state
-
-
 class FlashbackAnalyzer:
     """Builds CTXBack :class:`InstrPlan`\\ s for every position of a kernel."""
 
@@ -114,8 +109,6 @@ class FlashbackAnalyzer:
             regs_bytes(self.liveness.live_in[pos], spec)
             for pos in range(len(self.program.instructions))
         ]
-        if not self.config.enable_reverting:
-            self._model = ReversibilityModel.EXACT  # placeholder, see _site
         self._reverting_enabled = self.config.enable_reverting
 
     # -- helpers ---------------------------------------------------------------

@@ -141,6 +141,15 @@ def inst(mnemonic: str, *operands) -> Instruction:
     return Instruction(mnemonic, dsts, srcs)  # type: ignore[arg-type]
 
 
+#: per-instance memo attributes the simulator hangs on a :class:`Program`:
+#: issue tables (:func:`repro.sim.tables.tables_for`) and the fast core's
+#: compiled plan (:func:`repro.sim.blocks.plan_for`).  They hold callables,
+#: so pickling drops every name listed here.
+SIM_TABLES_MEMO = "_sim_tables"
+FAST_PLAN_MEMO = "_fast_plan"
+SIM_MEMOS = (SIM_TABLES_MEMO, FAST_PLAN_MEMO)
+
+
 @dataclass
 class Program:
     """A flat instruction sequence with labels.
@@ -207,10 +216,9 @@ class Program:
         return Program(list(self.instructions), dict(self.labels))
 
     def __getstate__(self) -> dict:
-        # the simulator caches issue tables on the instance (see
-        # repro.sim.tables); they hold callables and must not be pickled
         state = self.__dict__.copy()
-        state.pop("_sim_tables", None)
+        for name in SIM_MEMOS:
+            state.pop(name, None)
         return state
 
 

@@ -70,9 +70,6 @@ class PreparedKernel:
     #: Chimera-style runtime selection: warp -> "switch" | "drop" | "drain";
     #: None means the mechanism's static flags decide
     runtime_policy: Callable | None = None
-    #: set by the launch harness; used by CKPT when a warp is dropped before
-    #: its first checkpoint and must restart the kernel from the beginning
-    warp_initializer: Callable | None = None
 
     def strategy_for(self, warp) -> str:
         """How to preempt *warp* right now: "switch" (run the dedicated
@@ -84,11 +81,6 @@ class PreparedKernel:
         if self.is_checkpoint_based:
             return "drop"
         return "switch"
-
-    def reinit_warp(self, warp) -> None:
-        if self.warp_initializer is None:
-            raise RuntimeError("no warp initializer attached")
-        self.warp_initializer(warp)
 
     def iter_routines(self, unique: bool = True):
         """Yield ``(position, where, routine)`` for every plan routine.

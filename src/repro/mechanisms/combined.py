@@ -25,8 +25,17 @@ class Combined(Mechanism):
     def __init__(self, analysis_config: CtxBackConfig | None = None) -> None:
         self.analysis_config = analysis_config
 
-    def prepare(self, kernel: Kernel, config: GPUConfig) -> PreparedKernel:
-        ctx = CtxBack(self.analysis_config).prepare(kernel, config)
+    def prepare(
+        self,
+        kernel: Kernel,
+        config: GPUConfig,
+        ctx: PreparedKernel | None = None,
+    ) -> PreparedKernel:
+        """*ctx*, when given, is *kernel*'s already-prepared CTXBack side
+        under this mechanism's analysis config; the engine passes its
+        cached artifact so the CTXBack pass runs once per kernel."""
+        if ctx is None:
+            ctx = CtxBack(self.analysis_config).prepare(kernel, config)
         defer = CSDefer().prepare(ctx.kernel, config)
         plans = {}
         for n, ctx_plan in ctx.plans.items():

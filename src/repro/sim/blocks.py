@@ -45,7 +45,7 @@ import warnings
 
 import numpy as np
 
-from ..isa.instruction import Imm, Label, Program
+from ..isa.instruction import FAST_PLAN_MEMO, Imm, Label, Program
 from ..isa.opcodes import OpClass
 from ..isa.registers import EXEC, SCC, RegKind
 from .config import GPUConfig
@@ -1194,7 +1194,7 @@ def plan_for(program: Program, config: GPUConfig, *, use_cache: bool = False) ->
     through the content-addressed artifact cache (main kernels — routines
     are small one-shot programs and compile directly).
     """
-    cached = program.__dict__.get("_fast_plan")
+    cached = program.__dict__.get(FAST_PLAN_MEMO)
     if (
         cached is not None
         and cached[0] is config
@@ -1203,5 +1203,5 @@ def plan_for(program: Program, config: GPUConfig, *, use_cache: bool = False) ->
         return cached[2]
     ir = cached_ir(program, config) if use_cache else build_ir(program, config)
     plan = ProgramPlan(ir)
-    program.__dict__["_fast_plan"] = (config, len(program.instructions), plan)
+    program.__dict__[FAST_PLAN_MEMO] = (config, len(program.instructions), plan)
     return plan

@@ -85,8 +85,9 @@ class GPUConfig:
     #: execution core: ``"fast"`` (batched warp stepping + compiled basic
     #: blocks, bit-identical timing) or ``"reference"`` (the single-step
     #: interpreter).  ``REPRO_CORE`` overrides this at SM construction.
-    #: Part of the frozen config, so every artifact-cache key (prepared
-    #: kernels, experiment profiles, compiled blocks) separates by core.
+    #: Part of the frozen config, so run-dependent artifact-cache keys
+    #: (experiment profiles, compiled blocks) separate by core; prepared
+    #: kernels key on ``rf_spec`` only, which compiling alone reads.
     core: str = "fast"
 
     def __post_init__(self) -> None:

@@ -150,8 +150,8 @@ def run_reference(
             prepared=prepared,
             target_warp_ids=set(),
             signal_dyn=1 << 62,
+            warp_initializer=_initializer_for(spec),
         )
-        prepared.warp_initializer = _initializer_for(spec)
         del controller  # hooks stay installed on the SM
     cycles = sm.run()
     return RunResult(cycles=cycles, memory=memory, sm=sm)
@@ -430,8 +430,8 @@ def run_preemption_experiment(
         prepared=prepared,
         target_warp_ids={w.warp_id for w in target_warps},
         signal_dyn=signal_dyn,
+        warp_initializer=_initializer_for(spec),
     )
-    prepared.warp_initializer = _initializer_for(spec)
     injector = None
     if faults is not None:
         # accept a plan (built per run: injector state is single-use) or a

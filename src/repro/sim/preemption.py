@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 from ..ctxback.context import META_BYTES
 from ..faults.errors import ContextIntegrityError
@@ -72,6 +72,11 @@ class PreemptionController:
     #: fault injector (:mod:`repro.faults`); ``None`` disables injection
     #: entirely — the integrity checksums stay on regardless
     faults: "FaultInjector | None" = None
+    #: set by the launch harness; re-initializes a CKPT warp dropped before
+    #: its first checkpoint, which restarts the kernel from the beginning.
+    #: Held here, not on the (cached, shared) prepared kernel, so a run
+    #: never leaves a closure on an artifact that must stay picklable.
+    warp_initializer: "Callable[[SimWarp], None] | None" = None
     _full_context_bytes: int | None = None
 
     def __post_init__(self) -> None:
@@ -500,7 +505,9 @@ class PreemptionController:
             if snapshot is None:
                 # never checkpointed: restart the kernel from the beginning
                 warp.state.clear()
-                self.prepared.reinit_warp(warp)
+                if self.warp_initializer is None:
+                    raise RuntimeError("no warp initializer attached")
+                self.warp_initializer(warp)
                 warp.dyn_count = 0
                 warp.probe_counts = {}
                 completion = cycle

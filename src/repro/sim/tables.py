@@ -21,7 +21,7 @@ while being built, never mid-simulation).
 
 from __future__ import annotations
 
-from ..isa.instruction import Imm, Instruction, Label, Program
+from ..isa.instruction import SIM_TABLES_MEMO, Imm, Instruction, Label, Program
 from ..isa.opcodes import OpClass
 from ..isa.registers import Reg
 
@@ -182,8 +182,8 @@ def tables_for(program: Program) -> ProgramTables:
     The cache key is the instance itself; a length change (the only mutation
     the builder performs) invalidates the cached tables.
     """
-    tables = program.__dict__.get("_sim_tables")
+    tables = program.__dict__.get(SIM_TABLES_MEMO)
     if tables is None or tables.n != len(program.instructions):
         tables = ProgramTables(program)
-        program.__dict__["_sim_tables"] = tables
+        program.__dict__[SIM_TABLES_MEMO] = tables
     return tables

@@ -648,8 +648,8 @@ def restore_experiment(
         prepared=prepared,
         target_warp_ids={w.warp_id for w in target_warps},
         signal_dyn=loop["signal_dyn"],
+        warp_initializer=_initializer_for(spec),
     )
-    prepared.warp_initializer = _initializer_for(spec)
     injector = None
     if faults is not None:
         injector = faults.build() if hasattr(faults, "build") else faults

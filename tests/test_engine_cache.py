@@ -9,6 +9,7 @@ different memory model) aliased to one entry.
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import enum
 import pickle
 from dataclasses import dataclass
@@ -24,11 +25,13 @@ from repro.analysis.cache import (
 from repro.analysis.engine import (
     ExperimentEngine,
     prepared_for,
+    prepared_parts,
     reference_cycles_for,
     resolve_jobs,
     weights_for,
 )
 from repro.analysis.experiments import fig7_context_size, preemption_timing
+from repro.isa.registers import RegisterFileSpec
 from repro.sim.config import GPUConfig
 
 
@@ -79,7 +82,10 @@ def test_gpu_configs_with_same_warp_size_get_distinct_keys():
 
 def test_no_aliasing_between_radeon_vii_and_contended(tmp_path):
     """radeon_vii vs radeon_vii_contended share a warp size but must not
-    share cache entries: their reference profiles genuinely differ."""
+    share run-dependent cache entries: their weights and reference
+    profiles genuinely differ.  The prepared kernel is the exception —
+    compiling reads only the register-file spec, which the presets share,
+    so both resolve to one ``prepared`` entry."""
     vii = GPUConfig.radeon_vii()
     contended = GPUConfig.radeon_vii_contended()
     with cache_at(tmp_path) as cache:
@@ -89,12 +95,60 @@ def test_no_aliasing_between_radeon_vii_and_contended(tmp_path):
         prepared_for("ge", "ctxback", contended)
         inventory = cache.entries()
         assert inventory["weights"]["entries"] == 2
-        assert inventory["prepared"]["entries"] == 2
+        assert inventory["prepared"]["entries"] == 1
         clean_vii = reference_cycles_for("ge", vii)
         clean_contended = reference_cycles_for("ge", contended)
+        assert cache.entries()["reference"]["entries"] == 2
     # the two presets time memory differently — one aliased entry would
     # have returned the same cycles for both
     assert clean_vii != clean_contended
+
+
+#: a distinct, still-valid replacement value for every RegisterFileSpec
+#: field; the coverage assertion fails when the spec grows a field
+_RF_SPEC_VARIANTS = {
+    "warp_size": 32,
+    "vgpr_bytes_per_sm": 128 * 1024,
+    "sgpr_bytes_per_sm": 8 * 1024,
+    "lds_bytes_per_sm": 32 * 1024,
+    "vgpr_align": 8,
+    "sgpr_align": 8,
+}
+
+
+def test_prepared_key_covers_exactly_the_rf_spec():
+    """The ``prepared`` key changes with every ``rf_spec`` field and with
+    no other ``GPUConfig`` field: compiling reads the register-file spec
+    only, so anything else in the key would recompile for nothing, and
+    anything missing from it would alias two different compilations."""
+    from tests.test_fastcore_equiv import _FIELD_VARIANTS
+
+    spec_fields = {f.name for f in dataclasses.fields(RegisterFileSpec)}
+    assert spec_fields == set(_RF_SPEC_VARIANTS), (
+        "RegisterFileSpec changed: update _RF_SPEC_VARIANTS for "
+        f"{sorted(spec_fields ^ set(_RF_SPEC_VARIANTS))}"
+    )
+    cache = ArtifactCache(enabled=False)
+    base = GPUConfig.radeon_vii()
+
+    def key(config):
+        return cache.key_for("prepared", prepared_parts("mm", "ctxback", config))
+
+    base_key = key(base)
+    for name, variant in _FIELD_VARIANTS.items():
+        if name == "rf_spec":
+            continue
+        flipped = dataclasses.replace(base, **{name: variant})
+        assert key(flipped) == base_key, (
+            f"flipping GPUConfig.{name} changed the prepared cache key"
+        )
+    for name, variant in _RF_SPEC_VARIANTS.items():
+        spec = dataclasses.replace(base.rf_spec, **{name: variant})
+        assert getattr(spec, name) != getattr(base.rf_spec, name), name
+        flipped = dataclasses.replace(base, rf_spec=spec)
+        assert key(flipped) != base_key, (
+            f"flipping RegisterFileSpec.{name} did not change the prepared key"
+        )
 
 
 # -- store behavior -------------------------------------------------------------
@@ -161,6 +215,34 @@ def test_prepared_kernels_pickle_without_sim_tables(tmp_path):
     blob = pickle.dumps(prepared)
     clone = pickle.loads(blob)
     assert "_sim_tables" not in clone.kernel.program.__dict__
+
+
+@pytest.mark.parametrize("mechanism", ["ctxback", "ckpt"])
+def test_running_a_prepared_kernel_leaves_it_picklable(mechanism):
+    """A run memoizes compiled plans on the programs it executes and
+    needs a warp initializer for CKPT restarts; neither may stay behind
+    on the prepared kernel, which the cache shares and pickles."""
+    from repro.kernels.suite import SUITE
+    from repro.mechanisms import make_mechanism
+    from repro.sim.gpu import run_preemption_experiment
+    from tests.test_prepared_digest import prepared_digest
+
+    config = GPUConfig.radeon_vii()
+    launch = SUITE["va"].launch(warp_size=config.warp_size, iterations=4)
+    prepared = make_mechanism(mechanism).prepare(launch.kernel, config)
+    before = pickle.dumps(prepared)
+    digest = prepared_digest(prepared)
+    for core in ("fast", "reference"):
+        result = run_preemption_experiment(
+            launch.spec(),
+            prepared,
+            dataclasses.replace(config, core=core),
+            signal_dyn=9,
+            resume_gap=200,
+        )
+        assert result.verified
+    assert pickle.dumps(prepared) == before
+    assert prepared_digest(pickle.loads(before)) == digest
 
 
 # -- jobs resolution -------------------------------------------------------------
