@@ -66,7 +66,10 @@ except ImportError:  # pragma: no cover - non-posix
 #: 4: ``recovery_cycles`` is Optional (``None`` = no recovery data, 0 = a
 #:    legitimate zero-cost fallback); cached experiment/chaos profiles sum
 #:    it with an ``is None`` filter instead of coercing absent to 0.
-SCHEMA_VERSION = 4
+#: 5: ``Reg`` pickles its fields only (``__reduce__``) and carries a
+#:    precomputed integer hash, so a schema-4 ``Reg`` would unpickle without
+#:    it; block-entry values are numbered in register order.
+SCHEMA_VERSION = 5
 
 _ENV_DIR = "REPRO_CACHE_DIR"
 _ENV_ENABLED = "REPRO_CACHE"

@@ -66,7 +66,7 @@ from ..mechanisms.ctxback import CtxBack
 from ..sim.config import GPUConfig
 from ..sim.gpu import run_preemption_experiment, run_reference
 from .cache import canonical, describe_kernel, get_cache
-from .metrics import dynamic_pc_weights, weighted_context_bytes
+from .metrics import pc_histogram, weighted_context_bytes
 
 JOBS_ENV = "REPRO_JOBS"
 UNIT_TIMEOUT_ENV = "REPRO_UNIT_TIMEOUT"
@@ -269,12 +269,20 @@ def weights_for(
 ) -> dict[int, int]:
     """Cached dynamic PC histogram for one benchmark kernel.
 
-    Delegates to :func:`~repro.analysis.metrics.dynamic_pc_weights`, which
-    owns the cache entry (keyed on launch content + config) — a single
-    cache layer, so the engine and ad-hoc figure drivers hit the same
-    artifact instead of each maintaining their own copy.
+    Keyed on :func:`_base_parts`, like the reference and experiment
+    profiles, so a cache hit builds no launch; only a miss runs
+    :func:`~repro.analysis.metrics.pc_histogram`.  Launches built by hand
+    have no benchmark name and go through
+    :func:`~repro.analysis.metrics.dynamic_pc_weights`, keyed on the launch
+    content.
     """
-    return dynamic_pc_weights(_launch(key, config, iterations), config)
+
+    def build() -> dict[int, int]:
+        return pc_histogram(_launch(key, config, iterations), config)
+
+    return get_cache().get_or_create(
+        "weights", _base_parts(key, config, iterations), build
+    )
 
 
 def reference_cycles_for(
@@ -325,6 +333,10 @@ def experiment_profile_for(
     fault-injected and the profile carries the recovery counters and
     degraded-warp list; the plan content is part of the cache key, so
     faulted and clean profiles never alias either.
+
+    A plain profile (no *verify*, *trace* or *faults*) keeps only the
+    measurements, so its run stops once they are final
+    (``stop_when_measured``); the other three read the finished run.
     """
     parts = _base_parts(key, config, iterations)
     parts.update(_mechanism_parts(mechanism, None))
@@ -352,6 +364,7 @@ def experiment_profile_for(
             resume_gap=resume_gap,
             verify=verify,
             faults=faults,
+            stop_when_measured=not (verify or trace or faults is not None),
         )
         profile = {
             "latency": result.mean_latency,

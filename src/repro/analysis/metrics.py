@@ -52,19 +52,24 @@ def dynamic_pc_weights(launch: StandardLaunch, config: GPUConfig) -> dict[int, i
     """Execution count per program counter from one reference run.
 
     Cached in the content-addressed artifact store keyed on the launch
-    spec + config, so repeated figure drivers (and anything else asking
-    for the same histogram) pay the reference simulation once instead of
-    on every call.
+    content + config (:func:`_launch_parts`), so repeated calls for the
+    same launch pay the reference simulation once.  This is the entry
+    point for launches built by hand, which have no benchmark name to key
+    on.  The experiment engine's
+    :func:`~repro.analysis.engine.weights_for` keys suite kernels on their
+    benchmark name instead, so a cache hit there builds no launch; a
+    launch reached through both paths is stored once under each key.
     """
     from .cache import get_cache
 
-    def build() -> dict[int, int]:
-        result = run_reference(launch.spec(), config)
-        return dict(result.sm.stats.pc_hist)
-
     return get_cache().get_or_create(
-        "weights", _launch_parts(launch, config), build
+        "weights", _launch_parts(launch, config), lambda: pc_histogram(launch, config)
     )
+
+
+def pc_histogram(launch: StandardLaunch, config: GPUConfig) -> dict[int, int]:
+    """Execution count per program counter from one reference run, uncached."""
+    return dict(run_reference(launch.spec(), config).sm.stats.pc_hist)
 
 
 def weighted_context_bytes(

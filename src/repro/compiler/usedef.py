@@ -152,7 +152,9 @@ def number_region(
             region.entry[reg] = value
         return value
 
-    for reg in entry_regs or ():
+    # number entry values in register order, never in set order, so value
+    # ids (and the pickled bytes of every plan) are the same in any process
+    for reg in sorted(entry_regs or ()):
         value_of(reg)
 
     for pos in range(start, end):

@@ -103,6 +103,7 @@ class FlashbackAnalyzer:
             AliasModel.NO_ALIAS if kernel.noalias else AliasModel.MAY_ALIAS
         )
         self._block_states: dict[int, BlockState] = {}
+        self._last_site: tuple[SignalSite, tuple[Reg, ...]] | None = None
         self._lds_share = lds_share_bytes(kernel)
         spec = self.config.rf_spec
         self._live_bytes = [
@@ -122,10 +123,19 @@ class FlashbackAnalyzer:
             self._block_states[block.index] = state
         return state
 
-    def _site(self, n: int) -> SignalSite:
+    def _site(self, n: int) -> tuple[SignalSite, tuple[Reg, ...]]:
+        """The signal site at *n* and its live registers in name order, the
+        order roots are resolved and materialised in.
+
+        plan_at builds every candidate of one position in a row: a
+        one-entry memo lets them share both.
+        """
+        memo = self._last_site
+        if memo is not None and memo[0].n == n:
+            return memo
         block = self.cfg.block_at(n)
         bstate = self._block_state(block)
-        return SignalSite(
+        site = SignalSite(
             program=self.program,
             region=bstate.region,
             n=n,
@@ -137,6 +147,9 @@ class FlashbackAnalyzer:
                 else _NO_REVERTS
             ),
         )
+        live = tuple(sorted(self.liveness.live_in[n], key=str))
+        memo = self._last_site = (site, live)
+        return memo
 
     def candidate_positions(self, n: int) -> list[int]:
         """Screened flashback candidates for a signal at *n*, best first."""
@@ -178,14 +191,13 @@ class FlashbackAnalyzer:
 
     def build_plan_at(self, n: int, p: int) -> InstrPlan | None:
         """Exactly build the plan for flashback point *p*; None if infeasible."""
-        site = self._site(n)
-        live = self.liveness.live_in[n]
+        site, live = self._site(n)
         forced: frozenset[int] = frozenset()
         for _attempt in range(self.config.max_degrade_retries + 1):
             resolver = Resolver(site, p, forced)
             roots: dict[Reg, Node] = {}
             feasible = True
-            for reg in sorted(live, key=str):
+            for reg in live:
                 target = site.end_state.get(reg)
                 if target is None:
                     feasible = False

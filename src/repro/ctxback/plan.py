@@ -12,9 +12,10 @@ program counter).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from ..compiler.usedef import Value
-from ..isa.instruction import Instruction, Program
+from ..isa.instruction import Instruction, Program, inst
 from ..isa.registers import Reg, RegKind
 
 
@@ -54,19 +55,24 @@ class InstrPlan:
         return self.position - self.flashback_pos
 
 
+# Routine instructions are interned: an Instruction is frozen, so every
+# routine that saves register r at slot s can share one object.  The pass
+# builds several candidate plans per position and plans repeat the same
+# stores and loads, so this saves most constructions, and a prepared
+# artifact pickles each shared instruction once.
+
+
+@lru_cache(maxsize=None)
 def ctx_store_for(reg: Reg, slot: int) -> Instruction:
     """Context-buffer store of one register (the paper's ``GST r, ctx[..]``)."""
-    from ..isa.instruction import inst
-
     if reg.kind is RegKind.VECTOR:
         return inst("ctx_store_v", reg, slot)
     return inst("ctx_store_s", reg, slot)
 
 
+@lru_cache(maxsize=None)
 def ctx_load_for(reg: Reg, slot: int) -> Instruction:
     """Context-buffer load into one register (``GLD r, ctx[..]``)."""
-    from ..isa.instruction import inst
-
     if reg.kind is RegKind.VECTOR:
         return inst("ctx_load_v", reg, slot)
     return inst("ctx_load_s", reg, slot)

@@ -21,7 +21,9 @@ LIVE mechanism, which is always schedulable.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import lru_cache
 
 from ..compiler.usedef import Value
 from ..isa.instruction import Instruction, Program, inst
@@ -51,7 +53,10 @@ class GeneratedRoutines:
     resume_extra_ops: int
 
 
+@lru_cache(maxsize=None)
 def _mov_for(dst: Reg, src: Reg) -> Instruction:
+    """Register-to-register move, interned like the context-buffer
+    instructions (:func:`~repro.ctxback.plan.ctx_store_for`)."""
     if dst.kind is RegKind.VECTOR:
         return inst("v_mov", dst, src)
     if src.kind is RegKind.VECTOR:
@@ -160,13 +165,15 @@ def generate_routines(
     site: SignalSite,
     p: int,
     roots: dict[Reg, Node],
-    live_regs_at_n,
+    live_regs_at_n: Sequence[Reg],
     lds_bytes: int,
 ) -> GeneratedRoutines:
     """Emit preemption and resuming routines for flashback point *p*.
 
     ``roots`` maps each live register at ``n`` to the derivation of the value
-    it must hold when execution resumes at ``n``.
+    it must hold when execution resumes at ``n``.  ``live_regs_at_n`` lists
+    those registers in the order their values are materialised; the pass
+    uses name order.
     """
     resume_nodes, preempt_exec = _collect(list(roots.values()))
 
@@ -191,8 +198,9 @@ def generate_routines(
         if node.kind is DerivationKind.DIRECT_SAVE:
             emit_save(node.value, node.source_reg)
 
-    # Preemption-time reverts, greedily ordered by input readiness.
-    state = _SymbolicState(site.end_state)
+    # Preemption-time reverts, greedily ordered by input readiness.  Most
+    # plans have none, so the symbolic state is built only when needed.
+    state = _SymbolicState(site.end_state) if preempt_exec else None
     pending = list(preempt_exec.values())
     while pending:
         progressed = False
@@ -355,7 +363,7 @@ def generate_routines(
     # Materialise every live register's value, re-executing in-between
     # instructions on demand; then verify nothing got displaced.
     final_pairs = []
-    for reg in sorted(live_regs_at_n, key=str):
+    for reg in live_regs_at_n:
         target = site.end_state.get(reg)
         if target is None:
             raise GenerationFailure(

@@ -44,6 +44,11 @@ class Reg:
     Instances are interned via :func:`sreg`/:func:`vreg` so identity-heavy
     analyses (liveness sets, use-def chains) stay cheap.  Ordering is by
     (kind, index), giving deterministic iteration for routine generation.
+
+    The hash is a small integer computed once from (kind, index).  The
+    dataclass default would hash the ``RegKind`` member, whose hash is its
+    name's string hash: slow on the compiler's hot paths, and different in
+    every process, so register sets would iterate in a per-process order.
     """
 
     kind: RegKind
@@ -52,6 +57,16 @@ class Reg:
     def __post_init__(self) -> None:
         if self.index < 0:
             raise ValueError(f"register index must be >= 0, got {self.index}")
+        object.__setattr__(
+            self, "_hash", self.index * len(_KIND_CODES) + _KIND_CODES[self.kind.value]
+        )
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # pickle the fields only; unpickling recomputes the hash
+        return (Reg, (self.kind, self.index))
 
     def _sort_key(self) -> tuple[str, int]:
         return (self.kind.value, self.index)
@@ -91,6 +106,9 @@ class Reg:
     def __repr__(self) -> str:
         return str(self)
 
+
+#: per-kind offset of :meth:`Reg.__hash__`, keyed by ``RegKind.value``
+_KIND_CODES = {"s": 0, "v": 1, "x": 2}
 
 # Special register indices.  Kept small and stable; the executor indexes a
 # dedicated special-register array with them.

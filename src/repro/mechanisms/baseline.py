@@ -8,6 +8,8 @@ liveness.  This is the normalisation reference for every figure.
 
 from __future__ import annotations
 
+import dataclasses
+
 from ..ctxback.context import lds_share_bytes
 from ..isa.instruction import Kernel
 from ..isa.registers import EXEC, SCC, sreg, vreg
@@ -28,15 +30,11 @@ class Baseline(Mechanism):
             + [sreg(i) for i in range(spec.allocated_sgprs(kernel.sgprs_used))]
             + [EXEC, SCC]
         )
-        lds = lds_share_bytes(kernel)
-        plans = {}
-        template = None
-        for n in range(len(kernel.program.instructions)):
-            plan = regsave_plan(n, self.name, regs, lds, spec)
-            if template is None:
-                template = (plan.preempt_routine, plan.resume_routine)
-            else:
-                # identical routines for every position; share the programs
-                plan.preempt_routine, plan.resume_routine = template
-            plans[n] = plan
+        # the routine pair is the same at every position: build it once and
+        # share its programs between the plans
+        template = regsave_plan(0, self.name, regs, lds_share_bytes(kernel), spec)
+        plans = {
+            n: dataclasses.replace(template, position=n, resume_pc=n, saved=[])
+            for n in range(len(kernel.program.instructions))
+        }
         return PreparedKernel(kernel=kernel, mechanism=self.name, plans=plans)

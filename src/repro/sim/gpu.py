@@ -263,9 +263,20 @@ def drive_experiment_loop(
     resume_at: int | None = None,
     loop_hook: Callable[[SM, PreemptionController, list[SimWarp], dict], None]
     | None = None,
+    stop_when_measured: bool = False,
 ) -> None:
     """Drive a preemption experiment to completion: poll, evict, resume at
     the gap deadline, run out the kernel.
+
+    With *stop_when_measured* the loop returns as soon as the measurements
+    are final instead: the resume has been delivered, the controller is
+    disarmed and every target warp has its ``resume_done_cycle``.  A warp
+    that finishes without one (a drained warp, or a CKPT warp that ends
+    before re-reaching its signal point) keeps the run going to completion.
+    Nothing the simulation does after that point can change a
+    :class:`WarpMeasurement`, but memory, ``sm.cycle`` and every other
+    warp's state are left mid-run: only callers that read nothing else may
+    ask for it.
 
     Factored out of :func:`run_preemption_experiment` so a restored
     snapshot (:mod:`repro.snap`) can re-enter the experiment mid-flight —
@@ -324,6 +335,13 @@ def drive_experiment_loop(
                 },
             )
         controller.poll()
+        if (
+            stop_when_measured
+            and resumed
+            and not controller.armed
+            and all(w.resume_done_cycle is not None for w in target_warps)
+        ):
+            break
         if not resumed and controller.all_evicted():
             if resume_at is None:
                 resume_at = _resume_deadline()
@@ -346,6 +364,15 @@ def drive_experiment_loop(
             dyn_break = signal_dyn if controller.armed else None
             for warp in target_warps:
                 warp.dyn_break = dyn_break
+                if (
+                    stop_when_measured
+                    and dyn_break is None
+                    and warp.resume_watch_dyn is not None
+                    and warp.resume_done_cycle is None
+                ):
+                    # a resumed CKPT warp measures its resume on the issue
+                    # that re-reaches the watch point; return right after it
+                    warp.dyn_break = warp.resume_watch_dyn + 1
             progressed = sm.advance(
                 stop_cycle=resume_at if not resumed else None,
                 limit=config.max_cycles,
@@ -384,6 +411,7 @@ def run_preemption_experiment(
     faults=None,
     loop_hook=None,
     memory: DeviceMemory | None = None,
+    stop_when_measured: bool = False,
 ) -> ExperimentResult:
     """Preempt every target warp at dynamic instruction *signal_dyn*, resume
     after *resume_gap* cycles, run to completion, verify memory.
@@ -395,7 +423,14 @@ def run_preemption_experiment(
     :func:`drive_experiment_loop`).  *memory* substitutes the experiment's
     device memory (e.g. a :class:`~repro.sim.memory.TrackedMemory` so a
     speculative checkpoint can record write epochs).
+
+    *stop_when_measured* ends the run once every measurement is final (see
+    :func:`drive_experiment_loop`); ``total_cycles`` and ``memory`` are then
+    those of the stopped run.  It cannot be combined with *verify*, which
+    compares the final memory image.
     """
+    if stop_when_measured and verify:
+        raise ValueError("stop_when_measured skips the run's tail; verify needs it")
     reference_cycles: int | None = None
     ref_memory = None
     if verify:
@@ -448,6 +483,7 @@ def run_preemption_experiment(
         resume_gap=resume_gap,
         injector=injector,
         loop_hook=loop_hook,
+        stop_when_measured=stop_when_measured,
     )
 
     finalize_measurements(sm, controller, target_warps)

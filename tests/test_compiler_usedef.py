@@ -41,6 +41,15 @@ class TestBasics:
         _, region = region_of("s_endpgm", entry=[vreg(9)])
         assert vreg(9) in region.entry
 
+    def test_entry_values_numbered_in_register_order(self):
+        """Seeded entry values get ids in register order, whatever order
+        the seed set iterates in, so ids agree between processes."""
+        regs = [vreg(3), sreg(12), vreg(0), sreg(2)]
+        for entry in (regs, regs[::-1], frozenset(regs)):
+            _, region = region_of("s_endpgm", entry=entry)
+            by_vid = sorted(region.entry, key=lambda reg: region.entry[reg].vid)
+            assert by_vid == sorted(regs)
+
 
 class TestKills:
     def test_kill_recorded_with_position_and_slot(self):

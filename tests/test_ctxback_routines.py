@@ -11,7 +11,9 @@ from repro.ctxback import (
     SignalSite,
     generate_routines,
 )
-from repro.isa import Kernel, RegisterFileSpec, ReversibilityModel, parse
+from repro.ctxback.plan import ctx_load_for, ctx_store_for
+from repro.ctxback.routines import _mov_for
+from repro.isa import Kernel, RegisterFileSpec, ReversibilityModel, parse, sreg, vreg
 
 SPEC = RegisterFileSpec(warp_size=4)
 CONFIG = CtxBackConfig(rf_spec=SPEC)
@@ -45,9 +47,9 @@ def build_site(kernel, n):
 def generate_for(kernel, n, p):
     site, liveness = build_site(kernel, n)
     resolver = Resolver(site, p)
-    live = liveness.live_in[n]
+    live = sorted(liveness.live_in[n], key=str)
     roots = {}
-    for reg in sorted(live, key=str):
+    for reg in live:
         node = resolver.resolve(site.end_state[reg])
         assert node is not None
         roots[reg] = node
@@ -88,11 +90,9 @@ class TestGeneratedStructure:
     def test_lds_swap_emitted_when_requested(self, fig3_kernel):
         site, liveness = build_site(fig3_kernel, 4)
         resolver = Resolver(site, 0)
-        roots = {
-            reg: resolver.resolve(site.end_state[reg])
-            for reg in sorted(liveness.live_in[4], key=str)
-        }
-        generated = generate_routines(site, 0, roots, liveness.live_in[4], 128)
+        live = sorted(liveness.live_in[4], key=str)
+        roots = {reg: resolver.resolve(site.end_state[reg]) for reg in live}
+        generated = generate_routines(site, 0, roots, live, 128)
         assert generated.preempt.instructions[-1].mnemonic == "ctx_store_lds"
         assert generated.resume.instructions[0].mnemonic == "ctx_load_lds"
 
@@ -109,13 +109,13 @@ class TestDegradePath:
         """Pinning every value to direct save must still generate: this is
         the LIVE-equivalent fallback the analyzer relies on."""
         site, liveness = build_site(fig6_kernel, 5)
-        live = liveness.live_in[5]
+        live = sorted(liveness.live_in[5], key=str)
         all_vids = frozenset(
             site.end_state[reg].vid for reg in live
         )
         resolver = Resolver(site, 5, forced_direct=all_vids)
         roots = {}
-        for reg in sorted(live, key=str):
+        for reg in live:
             node = resolver.resolve(site.end_state[reg])
             assert node is not None
             roots[reg] = node
@@ -151,3 +151,19 @@ class TestPlanExecutability:
             routine.validate()
             text = serialize(routine)
             assert parse_asm(text).instructions == routine.instructions
+
+
+class TestInterning:
+    """Routine instructions are frozen, so equal ones are shared objects."""
+
+    def test_context_buffer_instructions_are_interned(self):
+        assert ctx_store_for(vreg(3), 256) is ctx_store_for(vreg(3), 256)
+        assert ctx_load_for(sreg(2), 8) is ctx_load_for(sreg(2), 8)
+        assert ctx_store_for(vreg(3), 256) is not ctx_store_for(vreg(3), 512)
+        assert ctx_store_for(sreg(2), 8) is not ctx_load_for(sreg(2), 8)
+
+    def test_moves_are_interned(self):
+        assert _mov_for(vreg(1), vreg(2)) is _mov_for(vreg(1), vreg(2))
+        assert _mov_for(sreg(1), sreg(2)) is _mov_for(sreg(1), sreg(2))
+        with pytest.raises(ValueError):
+            _mov_for(sreg(1), vreg(2))

@@ -30,7 +30,8 @@ from repro.analysis.engine import (
     resolve_jobs,
     weights_for,
 )
-from repro.analysis.experiments import fig7_context_size, preemption_timing
+import repro.analysis.engine as engine_module
+from repro.analysis.experiments import fig7_context_size, headline, preemption_timing
 from repro.isa.registers import RegisterFileSpec
 from repro.sim.config import GPUConfig
 
@@ -313,6 +314,29 @@ def test_warm_cache_run_is_bit_identical(serial_reference, tmp_path):
     ) == serial_reference
 
 
+def test_warm_headline_pass_builds_no_launch(tmp_path, monkeypatch):
+    """On a warm cache the artifact accessors key every entry on the
+    memoized kernel description; none of them (``weights_for`` included)
+    builds a launch."""
+    launches = []
+    original = engine_module._launch
+
+    def counting_launch(*args):
+        launches.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(engine_module, "_launch", counting_launch)
+    with cache_at(tmp_path):
+        cold = headline(keys=["ge"], samples=1, engine=ExperimentEngine(1))
+    assert launches  # the cold pass did build launches through the spy
+    launches.clear()
+    with cache_at(tmp_path) as cache:
+        warm = headline(keys=["ge"], samples=1, engine=ExperimentEngine(1))
+        assert cache.stats.misses == 0
+    assert launches == []
+    assert warm == cold
+
+
 def test_engine_report_accumulates(tmp_path):
     with cache_at(tmp_path):
         engine = ExperimentEngine(1)
@@ -407,6 +431,24 @@ def test_legacy_footerless_entry_is_invalidated(tmp_path):
     assert not hit
     assert cache.stats.invalidations == 1
     assert not path.exists()
+
+
+def test_schema_4_entries_are_never_hit(tmp_path, monkeypatch):
+    """Schema 5 changed how ``Reg`` pickles, so a schema-4 artifact would
+    unpickle registers without their hash.  Its entries keep their old
+    digests: the current code recomputes instead of reading them."""
+    import repro.analysis.cache as cache_module
+
+    parts = prepared_parts("ge", "ctxback", GPUConfig.radeon_vii())
+    monkeypatch.setattr(cache_module, "SCHEMA_VERSION", 4)
+    old = ArtifactCache(root=tmp_path, enabled=True)
+    old_digest = old.key_for("prepared", parts)
+    old.put("prepared", old_digest, "schema-4 artifact")
+    monkeypatch.undo()
+    fresh = ArtifactCache(root=tmp_path, enabled=True)
+    assert fresh.key_for("prepared", parts) != old_digest
+    assert fresh.get_or_create("prepared", parts, lambda: "rebuilt") == "rebuilt"
+    assert fresh.stats.hits == 0 and fresh.stats.misses == 1
 
 
 # -- size cap / LRU eviction -----------------------------------------------------

@@ -1,5 +1,10 @@
 """Register model: naming, interning, context bytes, allocation alignment."""
 
+import os
+import pickle
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -43,6 +48,30 @@ class TestReg:
         assert sreg(0).is_scalar and not sreg(0).is_vector
         assert vreg(0).is_vector and not vreg(0).is_scalar
         assert EXEC.is_special
+
+    def test_hash_is_the_same_in_every_process(self):
+        """The hash (and with it the iteration order of register sets) is
+        computed from (kind, index), never from a per-process string hash."""
+        script = (
+            "from repro.isa import EXEC, PC, SCC, sreg, vreg\n"
+            "regs = [sreg(0), sreg(17), vreg(0), vreg(5), vreg(130), EXEC, SCC, PC]\n"
+            "print([hash(r) for r in regs], [str(r) for r in set(regs)])\n"
+        )
+        outputs = {
+            subprocess.run(
+                [sys.executable, "-c", script],
+                env={**os.environ, "PYTHONHASHSEED": seed},
+                capture_output=True, text=True, check=True,
+            ).stdout
+            for seed in ("1", "2")
+        }
+        assert len(outputs) == 1
+
+    def test_equal_registers_hash_equal(self):
+        assert hash(Reg(RegKind.VECTOR, 7)) == hash(vreg(7))
+        clone = pickle.loads(pickle.dumps(sreg(4)))
+        assert clone == sreg(4) and hash(clone) == hash(sreg(4))
+        assert len({sreg(1), vreg(1), Reg(RegKind.SPECIAL, 1)}) == 3
 
     def test_ordering_is_total(self):
         regs = [vreg(2), sreg(9), vreg(0), EXEC]

@@ -23,6 +23,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -134,6 +135,37 @@ def test_ablation_prepared_matches_golden(variant):
             key, "ctxback", _config(), ctx_config=ABLATION_VARIANTS[variant]
         )
         assert prepared_digest(prepared) == golden[f"{key}/{variant}"], key
+
+
+#: pickles the ctxback and live artifacts of a few kernels; prints digests
+_PICKLE_SCRIPT = """
+import hashlib, pickle
+from repro.analysis.cache import configure_cache
+from repro.analysis.engine import prepared_for
+from repro.sim.config import GPUConfig
+
+configure_cache(enabled=False)
+for key in ("ge", "va", "km"):
+    for mechanism in ("ctxback", "live"):
+        prepared = prepared_for(key, mechanism, GPUConfig.radeon_vii())
+        blob = pickle.dumps(prepared, protocol=pickle.HIGHEST_PROTOCOL)
+        print(key, mechanism, hashlib.sha256(blob).hexdigest())
+"""
+
+
+def test_artifact_pickles_do_not_depend_on_the_hash_seed():
+    """The cached bytes of an artifact are the same in every process:
+    value ids and register-set orders must not follow ``PYTHONHASHSEED``."""
+    outputs = set()
+    for seed in ("1", "2"):
+        env = {**os.environ, "PYTHONHASHSEED": seed}
+        run = subprocess.run(
+            [sys.executable, "-c", _PICKLE_SCRIPT],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        assert len(run.stdout.splitlines()) == 6
+        outputs.add(run.stdout)
+    assert len(outputs) == 1
 
 
 def compute_golden() -> dict:
